@@ -71,7 +71,7 @@ struct Instr {
   std::uint16_t a = 0;    // Loop id (loop ops) or atom index (kAtomCheck).
   std::uint16_t b = 0;    // Atom index (kLoopCand).
   std::uint16_t reg = 0;  // Loop variable register.
-  std::uint8_t flags = 0; // kLoopCand: kFlagOrdered.
+  std::uint8_t flags = 0; // Loop heads: kFlagOrdered (output loops).
   std::uint32_t t_pc = 0;
   std::uint32_t f_pc = 0;
   RegOperand lhs, rhs;    // kEquals.

@@ -262,13 +262,21 @@ void ExecutionEntry() {
   }
 }
 
-// True when the program's outermost output loop (the instruction at pc 0)
-// can be pre-materialized and sliced: its candidate key must not read
-// registers (none are bound at pc 0; the compiler peels output loops so
-// this holds for every enumerate program it emits — checked anyway).
+// True when the instruction at pc 0 is the outermost output loop and can be
+// pre-materialized and sliced. A Boolean program (no output registers) has
+// no output loop: its pc 0 is a quantifier, and slicing that would let each
+// morsel decide the whole formula on its own slice and emit () on its own,
+// so it runs serially. Only output loops carry kFlagOrdered. The loop's
+// candidate key must not read registers (none are bound at pc 0; the
+// compiler peels output loops so this holds for every enumerate program it
+// emits — checked anyway).
 bool SliceableOuterLoop(const Program& program) {
-  if (!program.enumerate || program.code.empty()) return false;
+  if (!program.enumerate || program.code.empty() ||
+      program.output_regs.empty()) {
+    return false;
+  }
   const Instr& in = program.code[0];
+  if ((in.flags & kFlagOrdered) == 0) return false;
   if (in.op == OpCode::kLoopDomain) return true;
   if (in.op != OpCode::kLoopCand) return false;
   for (const ColumnRole& col : program.atoms[in.b].columns) {

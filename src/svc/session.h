@@ -8,7 +8,7 @@
 // (the `@session=` request option; "default" otherwise) and live for the
 // server's lifetime.
 //
-// Concurrency: the per-session shared_mutex serializes mutations against
+// Concurrency: the per-session SessionMutex serializes mutations against
 // evaluations — evaluation commands are pure in the session state, so any
 // number of them run concurrently under shared locks, while a mutation
 // (which also bumps `version`) takes the lock exclusively. The version is
@@ -35,10 +35,34 @@ namespace svc {
 // persisted_version value for a session no snapshot has ever captured.
 inline constexpr std::uint64_t kNeverPersisted = ~std::uint64_t{0};
 
+// A shared mutex that lets a waiting writer in ahead of readers that arrive
+// after it. std::shared_mutex may prefer readers (glibc's does), so a steady
+// stream of overlapping evaluations could starve a mutation indefinitely. A
+// writer holds the turnstile while it waits for the readers already inside
+// to drain; new readers queue on the turnstile behind it. Not recursive: a
+// thread holding a shared lock must not take it again.
+class SessionMutex {
+ public:
+  void lock() {
+    std::lock_guard<std::mutex> gate(turnstile_);
+    rw_.lock();
+  }
+  void unlock() { rw_.unlock(); }
+  void lock_shared() {
+    { std::lock_guard<std::mutex> gate(turnstile_); }
+    rw_.lock_shared();
+  }
+  void unlock_shared() { rw_.unlock_shared(); }
+
+ private:
+  std::mutex turnstile_;
+  std::shared_mutex rw_;
+};
+
 struct SessionState {
   // Guards every field below except the atomics. Shared for evaluation,
   // exclusive for mutation (see Dispatcher).
-  std::shared_mutex mutex;
+  SessionMutex mutex;
 
   // Bumped on every successful mutation command.
   std::uint64_t version = 0;

@@ -7,7 +7,8 @@
 //
 //  - FO evaluation (EvaluateQuery): identical answer vectors, order
 //    included — per-morsel answer slots concatenate in morsel-index order,
-//    which is domain order.
+//    which is domain order — and free of duplicates. Boolean queries
+//    answer {()} or {} at every width, in both plan modes.
 //  - µ^k measures: MuKParallel at every width equals serial MuK exactly
 //    (the sharded counter sums per-morsel partials in morsel order).
 //  - Certain / possible answers: identical verdicts.
@@ -26,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "core/support.h"
 #include "data/database.h"
 #include "data/homomorphism.h"
+#include "data/io.h"
 #include "data/relation.h"
 #include "datalog/eval.h"
 #include "datalog/parser.h"
@@ -43,6 +46,7 @@
 #include "par/pool.h"
 #include "plan/mode.h"
 #include "query/eval.h"
+#include "query/parser.h"
 
 namespace zeroone {
 namespace {
@@ -87,6 +91,17 @@ Database SmallDb(std::uint64_t seed) {
   return GenerateRandomDatabase(options);
 }
 
+// EvaluateQuery returns a set, Q(D): a duplicate tuple that every mode
+// shares would pass the mode-against-mode comparisons unnoticed.
+bool HasNoDuplicates(std::vector<Tuple> answers) {
+  std::sort(answers.begin(), answers.end());
+  return std::adjacent_find(answers.begin(), answers.end()) == answers.end();
+}
+
+const char* ModeName(plan::PlanMode mode) {
+  return mode == plan::PlanMode::kCompiled ? "compiled" : "interpret";
+}
+
 class ParDiffTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ParDiffTest, QueryEvaluationIsIdenticalAtEveryWidth) {
@@ -118,6 +133,72 @@ TEST_P(ParDiffTest, QueryEvaluationIsIdenticalAtEveryWidth) {
     });
     EXPECT_EQ(serial, interpreted) << fo.ToString();
     EXPECT_EQ(serial, compiled) << fo.ToString();
+    EXPECT_TRUE(HasNoDuplicates(serial)) << fo.ToString();
+  }
+}
+
+// A Boolean query has no output loop, so no morsel may decide it on a slice
+// of its outermost quantifier alone: the answer is {()} or {} at every
+// width, in both plan modes.
+TEST_P(ParDiffTest, BooleanQueriesAreDecidedOnceAtEveryWidth) {
+  const std::uint64_t seed = GetParam();
+  Database db = SmallDb(seed);
+  RandomQueryOptions q_options;
+  q_options.relations = {{"R", 2}, {"S", 1}};
+  q_options.free_variables = 0;
+  for (int variant = 0; variant < 8; ++variant) {
+    q_options.seed = seed * 89 + static_cast<std::uint64_t>(variant);
+    Query fo = GenerateRandomFo(q_options, /*negation_probability=*/0.3);
+    ASSERT_TRUE(fo.is_boolean()) << fo.ToString();
+    auto serial = WithThreads(1, [&] {
+      return WithPlanMode(plan::PlanMode::kInterpret,
+                          [&] { return EvaluateQuery(fo, db); });
+    });
+    EXPECT_LE(serial.size(), 1u) << fo.ToString();
+    for (std::size_t width : kWidths) {
+      for (plan::PlanMode mode :
+           {plan::PlanMode::kInterpret, plan::PlanMode::kCompiled}) {
+        auto parallel = WithThreads(width, [&] {
+          return WithPlanMode(mode, [&] { return EvaluateQuery(fo, db); });
+        });
+        EXPECT_EQ(serial, parallel)
+            << "seed " << seed << " variant " << variant << " width "
+            << width << " mode " << ModeName(mode) << ": " << fo.ToString();
+      }
+    }
+  }
+}
+
+// Hand-written Boolean queries whose answers follow from naive evaluation
+// (Definition 3). S does not cover the active domain {c1, c2, _1}, so both
+// universal queries are false: a morsel whose slice holds no counterexample
+// must not answer () for the whole query.
+TEST(ParDiffBooleanTest, HandWrittenBooleanQueriesAtEveryWidth) {
+  StatusOr<Database> parsed_db =
+      ParseDatabase("R(2) = { (c1, c2) } S(1) = { (c1), (_1) }");
+  ASSERT_TRUE(parsed_db.ok()) << parsed_db.status().message();
+  const Database db = std::move(parsed_db).value();
+  const std::pair<const char*, bool> cases[] = {
+      {"Q() := forall x . S(x)", false},
+      {"Q() := exists x . S(x)", true},
+      {"Q() := forall x . exists y . R(x, y)", false},
+  };
+  for (const auto& [text, holds] : cases) {
+    const std::vector<Tuple> expected =
+        holds ? std::vector<Tuple>{Tuple()} : std::vector<Tuple>{};
+    StatusOr<Query> query = ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << query.status().message();
+    for (std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      for (plan::PlanMode mode :
+           {plan::PlanMode::kInterpret, plan::PlanMode::kCompiled}) {
+        auto answers = WithThreads(width, [&] {
+          return WithPlanMode(mode,
+                              [&] { return EvaluateQuery(*query, db); });
+        });
+        EXPECT_EQ(expected, answers)
+            << text << " width " << width << " mode " << ModeName(mode);
+      }
+    }
   }
 }
 

@@ -7,7 +7,8 @@
 //
 //  - FO naive evaluation (EvaluateQuery): identical answer vectors, order
 //    included — the compiled output loops sweep candidates in domain
-//    order precisely so emission order survives compilation.
+//    order precisely so emission order survives compilation — and free
+//    of duplicates.
 //  - Membership (EvaluateMembership): identical verdicts per tuple.
 //  - Certain / possible answers: identical answer sets and verdicts.
 //  - UCQ matcher: identical answer sets and membership verdicts (the
@@ -23,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/measure.h"
@@ -83,6 +85,12 @@ TEST_P(PlanDiffTest, NaiveEvaluationIsIdentical) {
     auto interpreted = Interpreted([&] { return NaiveEvaluate(fo, db); });
     auto compiled = Compiled([&] { return NaiveEvaluate(fo, db); });
     EXPECT_EQ(interpreted, compiled)
+        << "seed " << seed << " variant " << variant << ": " << fo.ToString();
+    // NaiveEvaluate returns a set, Q^naive(D): a duplicate tuple that both
+    // modes share would pass the comparison above unnoticed.
+    std::sort(compiled.begin(), compiled.end());
+    EXPECT_EQ(std::adjacent_find(compiled.begin(), compiled.end()),
+              compiled.end())
         << "seed " << seed << " variant " << variant << ": " << fo.ToString();
   }
 }

@@ -92,7 +92,7 @@ class TempDir {
   std::string path_;
 };
 
-// SessionState holds a shared_mutex and is neither copyable nor movable,
+// SessionState holds a SessionMutex and is neither copyable nor movable,
 // so states are built behind a unique_ptr.
 std::unique_ptr<SessionState> MakeState(const Database& db) {
   auto state = std::make_unique<SessionState>();
