@@ -9,8 +9,10 @@
 // end-to-end metrics (--trace 0) or the per-layer metrics of the traced run
 // (--trace 1, which also writes DIR/trace-<workload>-<seed>.json).
 // --short runs one measured round at tiny sizes; --corrupt makes one check
-// see a corrupted output (drop_answer, flip_mu, ack_count), for the
-// self-test that proves the checks can fail.
+// see a corrupted output, for the self-test that proves each check can fail
+// on its own: drop_answer.library, drop_answer.served (one answer tuple
+// dropped), flip_mu.prop4, flip_mu.theorem1, flip_mu.served (one µ
+// flipped), ack_count.served (the acked-mutation count off by one).
 
 #include <unistd.h>
 
@@ -88,7 +90,7 @@ bool WorkloadScale(const std::string& name, bool short_mode, Scale* s) {
   small.exact_nulls = 3;
   small.best_nulls = 2;
   small.session_rows = 40;
-  small.client_requests = 20;
+  small.client_requests = 200;
   *s = small;
   if (name == "naive_scale") {
     s->domain = 4000;
@@ -105,7 +107,7 @@ bool WorkloadScale(const std::string& name, bool short_mode, Scale* s) {
     s->best_nulls = 3;
   } else if (name == "serve_sessions") {
     s->session_rows = 60;
-    s->client_requests = 200;
+    s->client_requests = 1000;
   } else {
     return false;
   }
@@ -268,10 +270,25 @@ int Run(const Options& options) {
     for (const auto& [cls, name] : classes) {
       metrics[name] = {Percentile(ctx.Samples(cls), kQuantile), "ms"};
     }
+    // The tail of every served request, taken round by round (a round's
+    // requests run in a few to a few hundred milliseconds) and reported as
+    // the median over rounds: a host stall that holds a whole round moves
+    // that round only, where over the whole run it filled the last
+    // percent by itself.
     std::vector<double> served = ctx.Samples("served_all");
-    metrics["p99_ms"] = {Percentile(served, 0.99), "ms"};
-    std::fprintf(stderr, "perfbench: p99_ms over %zu served requests\n",
-                 served.size());
+    std::size_t per_round = served.size() / rounds;
+    std::vector<double> round_p99;
+    for (std::size_t r = 0; r < rounds; ++r) {
+      round_p99.push_back(Percentile(
+          std::vector<double>(served.begin() + r * per_round,
+                              served.begin() + (r + 1) * per_round),
+          0.99));
+    }
+    metrics["p99_ms"] = {Percentile(round_p99, 0.5), "ms"};
+    std::fprintf(stderr,
+                 "perfbench: p99_ms over %zu rounds of %zu served requests "
+                 "(%zu samples)\n",
+                 rounds, per_round, served.size());
     std::string samples_path = options.out_dir + "/samples-" + tag + ".json";
     if (!WriteSamples(samples_path, ctx, round_busy_s)) {
       std::fprintf(stderr, "perfbench: cannot write %s\n", samples_path.c_str());
@@ -304,7 +321,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: zeroone_perfbench --workload NAME --seed N "
                  "--seconds S --trace 0|1 --out DIR [--short] "
-                 "[--corrupt drop_answer|flip_mu|ack_count]\n");
+                 "[--corrupt CHECK]\n");
     return 2;
   }
   return perfbench::Run(options);

@@ -147,6 +147,26 @@ double TimeCall(Context& ctx, const char* span, Body&& body) {
   return MsSince(start);
 }
 
+// Moves the calling thread onto `width` CPUs of the process's allowed set,
+// the next ones in turn, for the scope's lifetime; a morsel team started
+// inside inherits them. On a shared host each vCPU is slowed by its own
+// neighbours for stretches of seconds (a memory-bound loop ran about 2x slower
+// on one vCPU than on another at the same time), and a thread left alone stays on
+// one vCPU for most of a run. Turning through the CPUs spreads every class's
+// samples over all of them, so a run is not held by the vCPU it started on.
+// Each turn takes the next CPUs from a pseudo-random (unseeded) sequence.
+// A no-op when fewer than `width` CPUs are allowed.
+class CpuTurn {
+ public:
+  explicit CpuTurn(std::size_t width);
+  ~CpuTurn();
+  CpuTurn(const CpuTurn&) = delete;
+  CpuTurn& operator=(const CpuTurn&) = delete;
+
+ private:
+  bool pinned_ = false;
+};
+
 // Growth of obs counters across one region of the benchmark.
 class CounterDelta {
  public:

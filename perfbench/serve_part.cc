@@ -140,15 +140,19 @@ class Client {
 
   std::uint64_t acked_mutations() const { return acked_mutations_; }
   std::uint64_t predicted_hits() const { return predicted_hits_; }
-  double probe_ms() const { return probe_ms_; }
+  // Time this client spent on its own checks, shadow upkeep and traced-only
+  // probes: it delays this connection's next request, not the server.
+  double overhead_ms() const { return overhead_ms_; }
 
   // One round: reload every session to its base content (reset, db,
   // query), then the shuffled request mix.
   void Round(Context& ctx) {
     for (Session& s : sessions_) {
+      Clock::time_point reload_start = Clock::now();
       s.shadow = Database();
       s.shadow.AddRelation("R", 2).InsertBatch(s.base_r);
       s.shadow.AddRelation("S", 2).InsertBatch(s.base_s);
+      overhead_ms_ += MsSince(reload_start);
       s.naive_cached = false;
       s.mu_cached.clear();
       Send(ctx, s, "reset", "", false, "reload");
@@ -176,7 +180,7 @@ class Client {
         Clock::time_point start = Clock::now();
         zeroone::StatusOr<Response> reply = conn_.Call(request);
         double ms = MsSince(start);
-        probe_ms_ += ms;
+        overhead_ms_ += ms;
         ctx.AddSample("svc.ping_ms", ms);
         if (!reply.ok() || reply->status != WireStatus::kOk) {
           ctx.CheckFailed("ping failed");
@@ -261,17 +265,16 @@ class Client {
     std::optional<Response> reply = Send(ctx, s, "naive", "", no_cache, cls);
     if (!no_cache) s.naive_cached = true;
     if (!reply) return;
+    Clock::time_point check_start = Clock::now();
     std::vector<std::string> got = PayloadLines(reply->payload);
-    if (ctx.corrupt() == "drop_answer" && !got.empty()) got.pop_back();
+    if (ctx.corrupt() == "drop_answer.served" && !got.empty()) got.pop_back();
     std::vector<Tuple> oracle = Oracle(s);
     if (no_cache && ctx.traced()) {
-      Clock::time_point start = Clock::now();
       Tracer::Scope probe(ctx.tracer(), "query.NaiveEvaluate");
       zeroone::StatusOr<zeroone::Query> q = zeroone::ParseQuery(kSessionQuery);
       Clock::time_point eval_start = Clock::now();
       std::vector<Tuple> lib = zeroone::NaiveEvaluate(*q, s.shadow);
       ctx.AddSample("svc.lib_eval_ms", MsSince(eval_start));
-      probe_ms_ += MsSince(start);
     }
     std::vector<std::string> expected;
     for (const Tuple& t : oracle) expected.push_back(t.ToString());
@@ -284,9 +287,11 @@ class Client {
                       " answers, shadow oracle has " +
                       std::to_string(expected.size()));
     }
+    overhead_ms_ += MsSince(check_start);
   }
 
   void Mu(Context& ctx, Session& s) {
+    Clock::time_point pick_start = Clock::now();
     std::vector<Tuple> oracle = Oracle(s);
     // Half the probes are answers, half are random pairs over the domain.
     Tuple tuple = rng_.Chance(0.5) && !oracle.empty()
@@ -295,16 +300,19 @@ class Client {
     std::string args = WireTuple(tuple);
     bool hit = !s.mu_cached.insert(args).second;
     if (hit) ++predicted_hits_;
+    overhead_ms_ += MsSince(pick_start);
     std::optional<Response> reply = Send(ctx, s, "mu", args, false, "mu");
     if (!reply) return;
+    Clock::time_point check_start = Clock::now();
     bool member = std::find(oracle.begin(), oracle.end(), tuple) != oracle.end();
     std::string expected = member ? "mu = 1" : "mu = 0";
     std::string got = reply->payload;
-    if (ctx.corrupt() == "flip_mu") got = member ? "mu = 0" : "mu = 1";
+    if (ctx.corrupt() == "flip_mu.served") got = member ? "mu = 0" : "mu = 1";
     if (got != expected) {
       ctx.CheckFailed("mu " + args + " on " + s.name + ": '" + got +
                       "', shadow oracle says '" + expected + "'");
     }
+    overhead_ms_ += MsSince(check_start);
   }
 
   void Insert(Context& ctx, Session& s) {
@@ -315,6 +323,7 @@ class Client {
     s.naive_cached = false;
     s.mu_cached.clear();
     if (!reply) return;
+    Clock::time_point check_start = Clock::now();
     s.shadow.mutable_relation(rel).Insert(tuple);
     // `db` reports the size of the statement, whether or not it was new.
     const std::string expected = "added 1 tuples";
@@ -322,6 +331,7 @@ class Client {
       ctx.CheckFailed("db insert on " + s.name + ": '" + reply->payload +
                       "', expected '" + expected + "'");
     }
+    overhead_ms_ += MsSince(check_start);
   }
 
   Rng rng_;
@@ -331,7 +341,7 @@ class Client {
   BlockingClient conn_;
   std::uint64_t acked_mutations_ = 0;
   std::uint64_t predicted_hits_ = 0;
-  double probe_ms_ = 0;
+  double overhead_ms_ = 0;
 };
 
 class ServePart : public Part {
@@ -377,23 +387,26 @@ class ServePart : public Part {
     std::uint64_t acked_before = AckedMutations();
     std::uint64_t hits_before = PredictedHits();
     CounterDelta counters;
-    std::vector<double> probe_before;
-    for (const auto& client : clients_) probe_before.push_back(client->probe_ms());
+    std::vector<double> overhead_before;
+    for (const auto& client : clients_) {
+      overhead_before.push_back(client->overhead_ms());
+    }
     std::vector<std::thread> threads;
     for (const auto& client : clients_) {
       threads.emplace_back([&ctx, raw = client.get()] { raw->Round(ctx); });
     }
     for (std::thread& t : threads) t.join();
-    // Client-side probes delay their own connection only; the slower
-    // client's share is what the round's wall time carries.
-    double probe_ms = 0;
+    // A client's checks and probes delay its own connection only; the
+    // larger client share is what the round's wall time carries.
+    double overhead_ms = 0;
     for (std::size_t c = 0; c < clients_.size(); ++c) {
-      probe_ms = std::max(probe_ms, clients_[c]->probe_ms() - probe_before[c]);
+      overhead_ms = std::max(
+          overhead_ms, clients_[c]->overhead_ms() - overhead_before[c]);
     }
-    ctx.AddOverheadMs(probe_ms);
+    ctx.AddOverheadMs(overhead_ms);
 
     double acked = static_cast<double>(AckedMutations() - acked_before);
-    if (ctx.corrupt() == "ack_count") acked += 1;
+    if (ctx.corrupt() == "ack_count.served") acked += 1;
     double appends = counters("svc.wal.appends");
     if (appends != acked) {
       ctx.CheckFailed("svc.wal.appends grew by " + std::to_string(appends) +

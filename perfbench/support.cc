@@ -1,3 +1,5 @@
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -11,6 +13,26 @@ namespace {
 
 thread_local std::int64_t tls_parent = -1;
 thread_local std::uint64_t tls_op = 0;
+
+// The CPUs the process may run on, read once at the first turn.
+struct AllowedCpus {
+  cpu_set_t mask;
+  std::vector<int> cpus;
+  AllowedCpus() {
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &mask)) cpus.push_back(c);
+    }
+  }
+};
+
+const AllowedCpus& Allowed() {
+  static const AllowedCpus allowed;
+  return allowed;
+}
+
+std::atomic<std::size_t> next_turn{0};
 
 std::uint32_t ThreadId() {
   static std::atomic<std::uint32_t> next{1};
@@ -59,6 +81,25 @@ Tracer::Scope::~Scope() {
           .count();
   span.dur_us = std::chrono::duration<double, std::micro>(end - start_)
                     .count();
+}
+
+CpuTurn::CpuTurn(std::size_t width) {
+  const std::vector<int>& cpus = Allowed().cpus;
+  if (width == 0 || cpus.size() < width) return;
+  // A hashed turn number, not the turn number itself: a round holds the
+  // same operations every time, and a plain count would put each operation
+  // on the same CPU in every round when its length divides by the CPUs.
+  std::size_t first = Rng(next_turn.fetch_add(1)).Next() % cpus.size();
+  cpu_set_t turn;
+  CPU_ZERO(&turn);
+  for (std::size_t i = 0; i < width; ++i) {
+    CPU_SET(cpus[(first + i) % cpus.size()], &turn);
+  }
+  pinned_ = sched_setaffinity(0, sizeof(turn), &turn) == 0;
+}
+
+CpuTurn::~CpuTurn() {
+  if (pinned_) sched_setaffinity(0, sizeof(cpu_set_t), &Allowed().mask);
 }
 
 std::size_t Tracer::span_count() const {

@@ -4,10 +4,12 @@
   python3 perfbench/test_checks.py
 
 For every workload: a plain short run passes every check and reports the
-metrics BENCHMARK.json lists (untraced and traced), and each corruption
-(one answer tuple dropped, one µ flipped, one acked-insert count changed)
-makes the run report correct = false and exit non-zero. Builds through
-run.py like a real run. Exits 0 when every case behaves.
+metrics BENCHMARK.json lists (untraced and traced), and each corruption makes
+the run report correct = false and exit non-zero. Every workload runs every
+part, so each corruption touches one check of one part only, and the test
+asks that every check failure the run prints is that check's own: a check
+that could never fail is not hidden behind another that fails first. Builds
+through run.py like a real run. Exits 0 when every case behaves.
 """
 
 import json
@@ -17,7 +19,17 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ["naive_scale", "exact_measure", "serve_sessions"]
-CORRUPTIONS = ["drop_answer", "flip_mu", "ack_count"]
+# Corruption -> a fragment of the failure message of the one check it
+# targets.
+CORRUPTIONS = {
+    "drop_answer.library": "answers, oracle has",
+    "drop_answer.served": "answers, shadow oracle has",
+    "flip_mu.prop4": "Proposition 4:",
+    "flip_mu.theorem1": "Theorem 1:",
+    "flip_mu.served": "shadow oracle says",
+    "ack_count.served": "svc.wal.appends grew by",
+}
+CHECK_FAILED = "perfbench: CHECK FAILED: "
 
 
 def run(workload, trace="0", extra=()):
@@ -50,11 +62,20 @@ def main():
                 failures.append("%s: metrics differ from BENCHMARK.json: %s" %
                                 (case, sorted(set(result["metrics"]) ^
                                               names[trace])))
-        for corruption in CORRUPTIONS:
-            code, result, _ = run(workload, extra=("--corrupt", corruption))
+        for corruption, message in CORRUPTIONS.items():
+            case = "%s --corrupt %s" % (workload, corruption)
+            code, result, err = run(workload, extra=("--corrupt", corruption))
+            # "warm-up round" sums up the warm-up's own failures.
+            reported = [line[len(CHECK_FAILED):] for line in err.splitlines()
+                        if line.startswith(CHECK_FAILED) and
+                        line != CHECK_FAILED + "warm-up round"]
             if code == 0 or (result is not None and result["correct"]):
-                failures.append("%s --corrupt %s: the check did not fail" %
-                                (workload, corruption))
+                failures.append("%s: the check did not fail" % case)
+            elif not reported:
+                failures.append("%s: no check failure printed" % case)
+            elif any(message not in line for line in reported):
+                failures.append("%s: another check failed: %s" %
+                                (case, reported))
     for failure in failures:
         print("FAIL " + failure)
     print("%d failures" % len(failures))
