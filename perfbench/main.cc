@@ -87,6 +87,7 @@ bool WorkloadScale(const std::string& name, bool short_mode, Scale* s) {
   small.layer_width = 12;
   small.width = 1;
   small.library_repeats = 4;
+  small.insert_repeats = 8;
   small.exact_nulls = 3;
   small.best_nulls = 2;
   small.session_rows = 40;
@@ -102,6 +103,7 @@ bool WorkloadScale(const std::string& name, bool short_mode, Scale* s) {
     s->layer_width = 50;
     s->width = 2;
     s->library_repeats = 1;
+    s->insert_repeats = 16;
   } else if (name == "exact_measure") {
     s->exact_nulls = 4;
     s->best_nulls = 3;

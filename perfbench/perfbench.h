@@ -204,6 +204,8 @@ struct Scale {
   // Library rounds per round: the small library part repeats so that its
   // quantiles rest on as many samples as the focus part's.
   std::size_t library_repeats = 1;
+  // Timed insert batches per library round, each into a fresh copy of R.
+  std::size_t insert_repeats = 1;
   // Exact measures.
   std::size_t exact_nulls = 0;  // Nulls per exact instance (m).
   std::size_t best_nulls = 0;   // Nulls of the best-answer instance.
